@@ -21,6 +21,7 @@
 
 use tida_bench::cluster::{cluster_bench, ClusterBench, ClusterPoint};
 use tida_bench::experiments::Scale;
+use tida_bench::{flag_value, read_baseline, write_outputs};
 
 /// Makespan regressions beyond this fraction fail the gate.
 const TOLERANCE: f64 = 0.05;
@@ -30,13 +31,6 @@ const MIN_PEAK_SPEEDUP_X: f64 = 2.0;
 const MAX_TAIL_GAIN_X: f64 = 1.6;
 /// Weak-scaling efficiency floor across the sweep.
 const MIN_WEAK_EFFICIENCY: f64 = 0.5;
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
 
 fn render_point(p: &ClusterPoint) -> String {
     format!(
@@ -78,11 +72,7 @@ fn render(b: &ClusterBench) -> String {
 
 /// Pull the max-node strong makespan out of a previously emitted payload.
 fn baseline_makespan(path: &str) -> f64 {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-    let v: serde_json::Value =
-        serde_json::from_str(&text).unwrap_or_else(|e| panic!("baseline {path} is not JSON: {e}"));
-    v["strong"]
+    read_baseline(path)["strong"]
         .as_array()
         .and_then(|pts| pts.last())
         .and_then(|p| p["makespan_ms"].as_f64())
@@ -126,13 +116,7 @@ fn main() {
         failed = true;
     }
 
-    if let Some(path) = flag_value(&args, "--json") {
-        let json = serde_json::to_string_pretty(&bench).expect("serialize bench");
-        std::fs::write(&path, json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-        let txt_path = format!("{}.txt", path.trim_end_matches(".json"));
-        std::fs::write(&txt_path, &text).unwrap_or_else(|e| panic!("cannot write {txt_path}: {e}"));
-        eprintln!("wrote {path} and {txt_path}");
-    }
+    write_outputs(&args, &bench, &text);
 
     if let Some(path) = flag_value(&args, "--check") {
         let committed = baseline_makespan(&path);

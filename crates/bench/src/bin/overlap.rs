@@ -16,19 +16,13 @@
 //! least 15%.
 
 use tida_bench::experiments::{overlap_bench, OverlapBench, OverlapRun, Scale};
+use tida_bench::{flag_value, read_baseline, write_outputs};
 
 /// Makespan regressions beyond this fraction fail the gate.
 const TOLERANCE: f64 = 0.05;
 /// The automatic scheduler must beat the LRU no-prefetch baseline by at
 /// least this many percent (the PR's acceptance criterion).
 const MIN_REDUCTION_PCT: f64 = 15.0;
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
 
 fn render_run(r: &OverlapRun) -> String {
     format!(
@@ -69,11 +63,7 @@ fn render(b: &OverlapBench) -> String {
 
 /// Pull `auto_sched.makespan_ms` out of a previously emitted payload.
 fn baseline_makespan(path: &str) -> f64 {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-    let v: serde_json::Value =
-        serde_json::from_str(&text).unwrap_or_else(|e| panic!("baseline {path} is not JSON: {e}"));
-    v["auto_sched"]["makespan_ms"]
+    read_baseline(path)["auto_sched"]["makespan_ms"]
         .as_f64()
         .unwrap_or_else(|| panic!("baseline {path} lacks auto_sched.makespan_ms"))
 }
@@ -91,13 +81,7 @@ fn main() {
     let text = render(&bench);
     print!("{text}");
 
-    if let Some(path) = flag_value(&args, "--json") {
-        let json = serde_json::to_string_pretty(&bench).expect("serialize bench");
-        std::fs::write(&path, json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-        let txt_path = format!("{}.txt", path.trim_end_matches(".json"));
-        std::fs::write(&txt_path, &text).unwrap_or_else(|e| panic!("cannot write {txt_path}: {e}"));
-        eprintln!("wrote {path} and {txt_path}");
-    }
+    write_outputs(&args, &bench, &text);
 
     let mut failed = false;
     if bench.reduction_pct < MIN_REDUCTION_PCT {

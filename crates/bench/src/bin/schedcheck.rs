@@ -23,13 +23,7 @@
 use schedcheck::programs::{self, ClusterHeatConfig, FusedConfig, HeatConfig};
 use schedcheck::{CheckSpec, Checker, Program, Report, Strategy};
 use serde::Serialize;
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
+use tida_bench::flag_value;
 
 struct Lane {
     name: &'static str,

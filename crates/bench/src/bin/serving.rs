@@ -24,16 +24,10 @@
 //! the per-class cell count.
 
 use tida_bench::serving::{serving_bench, soak_cell, ServingBench, ServingRun};
+use tida_bench::{flag_value, read_baseline, write_outputs};
 
 /// Regressions beyond this fraction fail the gate.
 const TOLERANCE: f64 = 0.05;
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
 
 fn render_run(r: &ServingRun) -> String {
     format!(
@@ -67,11 +61,7 @@ fn render(b: &ServingBench) -> String {
 }
 
 fn baseline_metric(path: &str, field: &str) -> f64 {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-    let v: serde_json::Value =
-        serde_json::from_str(&text).unwrap_or_else(|e| panic!("baseline {path} is not JSON: {e}"));
-    v["clean"][field]
+    read_baseline(path)["clean"][field]
         .as_f64()
         .unwrap_or_else(|| panic!("baseline {path} lacks clean.{field}"))
 }
@@ -135,13 +125,7 @@ fn main() {
     let text = render(&bench);
     print!("{text}");
 
-    if let Some(path) = flag_value(&args, "--json") {
-        let json = serde_json::to_string_pretty(&bench).expect("serialize bench");
-        std::fs::write(&path, json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-        let txt_path = format!("{}.txt", path.trim_end_matches(".json"));
-        std::fs::write(&txt_path, &text).unwrap_or_else(|e| panic!("cannot write {txt_path}: {e}"));
-        eprintln!("wrote {path} and {txt_path}");
-    }
+    write_outputs(&args, &bench, &text);
 
     let mut failed = false;
     if let Some(path) = flag_value(&args, "--check") {

@@ -17,18 +17,12 @@
 
 use tida_bench::experiments::Scale;
 use tida_bench::simspeed::{simspeed_bench, SimspeedBench};
+use tida_bench::{flag_value, read_baseline, write_outputs};
 
 /// runs/sec regressions beyond this fraction fail the gate. Wider than the
 /// overlap gate's 5% because wall-clock throughput on shared CI runners is
 /// noisier than simulated makespans.
 const TOLERANCE: f64 = 0.10;
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
 
 fn render(b: &SimspeedBench) -> String {
     let mut out = String::new();
@@ -66,11 +60,7 @@ fn render(b: &SimspeedBench) -> String {
 
 /// Pull `gate_runs_per_sec` out of a previously emitted payload.
 fn baseline_gate(path: &str) -> f64 {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-    let v: serde_json::Value =
-        serde_json::from_str(&text).unwrap_or_else(|e| panic!("baseline {path} is not JSON: {e}"));
-    v["gate_runs_per_sec"]
+    read_baseline(path)["gate_runs_per_sec"]
         .as_f64()
         .unwrap_or_else(|| panic!("baseline {path} lacks gate_runs_per_sec"))
 }
@@ -94,13 +84,7 @@ fn main() {
     let text = render(&bench);
     print!("{text}");
 
-    if let Some(path) = flag_value(&args, "--json") {
-        let json = serde_json::to_string_pretty(&bench).expect("serialize bench");
-        std::fs::write(&path, json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-        let txt_path = format!("{}.txt", path.trim_end_matches(".json"));
-        std::fs::write(&txt_path, &text).unwrap_or_else(|e| panic!("cannot write {txt_path}: {e}"));
-        eprintln!("wrote {path} and {txt_path}");
-    }
+    write_outputs(&args, &bench, &text);
 
     if let Some(path) = flag_value(&args, "--check") {
         let committed = baseline_gate(&path);

@@ -17,19 +17,13 @@
 //! computed step than the depth-1 baseline.
 
 use tida_bench::experiments::{temporal_bench, Scale, TemporalBench, TemporalRun};
+use tida_bench::{flag_value, read_baseline, write_outputs};
 
 /// Makespan regressions beyond this fraction fail the gate.
 const TOLERANCE: f64 = 0.05;
 /// Fusion must stage at least this many times fewer bytes per computed
 /// step than the depth-1 baseline (the PR's acceptance criterion).
 const MIN_AMORTIZATION_X: f64 = 1.5;
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
 
 fn render_run(r: &TemporalRun) -> String {
     format!(
@@ -69,11 +63,7 @@ fn render(b: &TemporalBench) -> String {
 
 /// Pull `fused.makespan_ms` out of a previously emitted payload.
 fn baseline_makespan(path: &str) -> f64 {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-    let v: serde_json::Value =
-        serde_json::from_str(&text).unwrap_or_else(|e| panic!("baseline {path} is not JSON: {e}"));
-    v["fused"]["makespan_ms"]
+    read_baseline(path)["fused"]["makespan_ms"]
         .as_f64()
         .unwrap_or_else(|| panic!("baseline {path} lacks fused.makespan_ms"))
 }
@@ -88,13 +78,7 @@ fn main() {
     let text = render(&bench);
     print!("{text}");
 
-    if let Some(path) = flag_value(&args, "--json") {
-        let json = serde_json::to_string_pretty(&bench).expect("serialize bench");
-        std::fs::write(&path, json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-        let txt_path = format!("{}.txt", path.trim_end_matches(".json"));
-        std::fs::write(&txt_path, &text).unwrap_or_else(|e| panic!("cannot write {txt_path}: {e}"));
-        eprintln!("wrote {path} and {txt_path}");
-    }
+    write_outputs(&args, &bench, &text);
 
     let mut failed = false;
     if bench.staging_amortization_x < MIN_AMORTIZATION_X {

@@ -72,15 +72,15 @@ pub use gpu_sim::LinkFault;
 pub use net::{Delivery, LinkClass, NetConfig, NetStats, NetworkModel};
 
 use gpu_sim::{
-    DeviceBuffer, FaultPlan, GpuSystem, HostBuffer, HostMemKind, KernelCost, KernelLaunch,
-    MachineConfig, OpId, SimTime, StreamId,
+    FaultPlan, GpuSystem, HostMemKind, KernelCost, KernelLaunch, MachineConfig, OpId, SimTime,
+    StreamId,
 };
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::Arc;
-use tida::{Box3, Decomposition, GhostPatch, IntVect, TileArray};
+use tida::{Box3, GhostPatch, IntVect, TileArray};
 use tida_acc::{
-    AccStats, ArrayId, Checkpoint, CheckpointError, HealthMonitor, HealthState, RetryPolicy,
+    AccStats, ArrayId, Checkpoint, CheckpointError, HealthMonitor, OwnedArray, RetryPolicy,
+    TransferFailure,
 };
 
 /// How to build a [`Cluster`]: node count, per-node platform, network
@@ -218,24 +218,14 @@ impl std::fmt::Display for ClusterError {
 
 impl std::error::Error for ClusterError {}
 
-struct CArray {
-    array: TileArray,
-    /// Per-region host buffer handle *on the region's current owner node*
-    /// (re-adopted on migration; the slab storage itself is shared).
-    host: Vec<HostBuffer>,
-    /// Per-region device buffer on the owner node.
-    dev: Vec<DeviceBuffer>,
-    resident: Vec<bool>,
-    dirty: Vec<bool>,
-}
-
 /// The cluster runtime. See the module docs for the protocol.
 pub struct Cluster {
     nodes: Vec<GpuSystem>,
     dpn: usize,
     net: NetworkModel,
-    decomp: Option<Arc<Decomposition>>,
-    arrays: Vec<CArray>,
+    /// Per-region host handles live *on the region's current owner node*
+    /// (re-adopted on migration; the slab storage itself is shared).
+    arrays: Vec<OwnedArray>,
     /// Owner *global device slot* per region (`node * dpn + local`).
     owner: Vec<usize>,
     /// Per-region compute stream on the owner device.
@@ -273,7 +263,6 @@ impl Cluster {
             nodes,
             dpn: cfg.devices_per_node,
             net,
-            decomp: None,
             arrays: Vec::new(),
             owner: Vec::new(),
             cstream: Vec::new(),
@@ -295,21 +284,8 @@ impl Cluster {
     /// Register an array (all arrays must share one decomposition).
     pub fn register(&mut self, array: &TileArray) -> ArrayId {
         assert!(!self.initialized, "register arrays before first use");
-        match &self.decomp {
-            None => self.decomp = Some(array.decomp().clone()),
-            Some(d) => assert!(
-                Arc::ptr_eq(d, array.decomp()),
-                "all registered arrays must share one decomposition"
-            ),
-        }
-        self.arrays.push(CArray {
-            array: array.clone(),
-            host: Vec::new(),
-            dev: Vec::new(),
-            resident: Vec::new(),
-            dirty: Vec::new(),
-        });
-        ArrayId(self.arrays.len() - 1)
+        // Host handles are adopted per owner node once placement is known.
+        OwnedArray::register(&mut self.arrays, array, Vec::new())
     }
 
     // ------------------------------------------------------------------
@@ -350,7 +326,7 @@ impl Cluster {
     }
 
     fn num_regions(&self) -> usize {
-        self.decomp.as_ref().expect("no arrays").num_regions()
+        OwnedArray::num_regions(&self.arrays)
     }
 
     fn node_of(&self, r: usize) -> usize {
@@ -505,66 +481,48 @@ impl Cluster {
         Ok(())
     }
 
-    /// Upload region `r` of array `a` (full grown slab) on the given
-    /// stream, with the standard retry loop.
-    fn h2d_grown(&mut self, a: usize, r: usize, stream: StreamId) -> Result<OpId, ClusterError> {
-        let node = self.node_of(r);
+    /// Copy region `r` of array `a` (full grown slab) host→device
+    /// (`to_device`) or device→host on `stream`, through the shared retry
+    /// loop. A device→host copy past the budget is rescued by the
+    /// fault-exempt salvage path; an upload past it is fatal.
+    fn copy_grown(
+        &mut self,
+        a: usize,
+        r: usize,
+        stream: StreamId,
+        to_device: bool,
+    ) -> Result<OpId, ClusterError> {
+        let (node, device) = (self.node_of(r), self.dev_of(r));
         let len = self.arrays[a].array.region(r).slab.len();
         let (dev, host) = (self.arrays[a].dev[r], self.arrays[a].host[r]);
-        let mut op = self.nodes[node].memcpy_h2d_async(dev, 0, host, 0, len, stream);
-        let mut attempt: u32 = 0;
-        while self.nodes[node].op_faulted(op) {
-            if self.nodes[node].crashed() {
-                return Err(ClusterError::Crashed { node });
+        let gpu = &mut self.nodes[node];
+        let t = if to_device {
+            self.retry.transfer(gpu, device, "h2d-retry-backoff", |g| {
+                g.memcpy_h2d_async(dev, 0, host, 0, len, stream)
+            })
+        } else {
+            self.retry.transfer(gpu, device, "d2h-retry-backoff", |g| {
+                g.memcpy_d2h_async(host, 0, dev, 0, len, stream)
+            })
+        };
+        self.stats.transfer_retries += u64::from(t.retries);
+        self.health.observe_transfer(node, &t);
+        match t.outcome {
+            Ok(op) => Ok(op),
+            Err(TransferFailure::Crashed) => Err(ClusterError::Crashed { node }),
+            Err(TransferFailure::DeviceLost) => Err(ClusterError::NodeLost { node }),
+            Err(TransferFailure::Exhausted) if to_device => {
+                Err(ClusterError::TransferExhausted { region: r })
             }
-            if self.nodes[node].device_lost(self.dev_of(r)) {
-                return Err(ClusterError::NodeLost { node });
-            }
-            self.health.observe_fault(node);
-            if self.retry.exhausted(attempt) {
-                return Err(ClusterError::TransferExhausted { region: r });
-            }
-            self.stats.transfer_retries += 1;
-            self.nodes[node].backoff_work(self.retry.backoff(attempt), "h2d-retry-backoff");
-            op = self.nodes[node].memcpy_h2d_async(dev, 0, host, 0, len, stream);
-            attempt += 1;
-        }
-        self.health.observe_success(node);
-        Ok(op)
-    }
-
-    /// Stage region `r` of array `a` home (full grown slab) on the
-    /// exchange stream. Retries like the upload path; past the budget the
-    /// fault-exempt salvage copy still gets the data home.
-    fn d2h_grown(&mut self, a: usize, r: usize) -> Result<OpId, ClusterError> {
-        let node = self.node_of(r);
-        let stream = self.xstream[r];
-        let len = self.arrays[a].array.region(r).slab.len();
-        let (dev, host) = (self.arrays[a].dev[r], self.arrays[a].host[r]);
-        let mut op = self.nodes[node].memcpy_d2h_async(host, 0, dev, 0, len, stream);
-        let mut attempt: u32 = 0;
-        while self.nodes[node].op_faulted(op) {
-            if self.nodes[node].crashed() {
-                return Err(ClusterError::Crashed { node });
-            }
-            if self.nodes[node].device_lost(self.dev_of(r)) {
-                return Err(ClusterError::NodeLost { node });
-            }
-            self.health.observe_fault(node);
-            if self.retry.exhausted(attempt) {
+            Err(TransferFailure::Exhausted) => {
                 self.stats.salvaged_regions += 1;
-                op = self.nodes[node].memcpy_d2h_salvage(host, 0, dev, 0, len, stream);
-                break;
+                let op = self.nodes[node].memcpy_d2h_salvage(host, 0, dev, 0, len, stream);
+                if !self.nodes[node].op_faulted(op) {
+                    self.health.observe_success(node);
+                }
+                Ok(op)
             }
-            self.stats.transfer_retries += 1;
-            self.nodes[node].backoff_work(self.retry.backoff(attempt), "d2h-retry-backoff");
-            op = self.nodes[node].memcpy_d2h_async(host, 0, dev, 0, len, stream);
-            attempt += 1;
         }
-        if !self.nodes[node].op_faulted(op) {
-            self.health.observe_success(node);
-        }
-        Ok(op)
     }
 
     /// Upload a read-only operand (e.g. a Jacobi right-hand side) once;
@@ -574,7 +532,7 @@ impl Cluster {
             return Ok(());
         }
         self.stats.loads += 1;
-        self.h2d_grown(a.0, r, self.cstream[r])?;
+        self.copy_grown(a.0, r, self.cstream[r], true)?;
         self.arrays[a.0].resident[r] = true;
         self.arrays[a.0].dirty[r] = false;
         Ok(())
@@ -669,7 +627,7 @@ impl Cluster {
             let ev_k = self.nodes[node].record_event(self.cstream[r]);
             self.nodes[node].stream_wait_event(self.xstream[r], ev_k);
             if self.arrays[src.0].resident[r] {
-                let op = self.d2h_grown(src.0, r)?;
+                let op = self.copy_grown(src.0, r, self.xstream[r], false)?;
                 // Host now mirrors the device copy exactly.
                 self.arrays[src.0].dirty[r] = false;
                 staged.push(Some(op));
@@ -677,7 +635,7 @@ impl Cluster {
                 // Step 0 / post-restore: the host copy is authoritative —
                 // upload it for the kernels and send straight from it.
                 self.stats.loads += 1;
-                let op = self.h2d_grown(src.0, r, self.xstream[r])?;
+                let op = self.copy_grown(src.0, r, self.xstream[r], true)?;
                 let _ = op;
                 let ev_up = self.nodes[node].record_event(self.xstream[r]);
                 self.nodes[node].stream_wait_event(self.cstream[r], ev_up);
@@ -791,7 +749,7 @@ impl Cluster {
                 let ev_int = self.nodes[node].record_event(self.cstream[r]);
                 self.nodes[node].stream_wait_event(self.xstream[r], ev_int);
             }
-            self.h2d_grown(src.0, r, self.xstream[r])?;
+            self.copy_grown(src.0, r, self.xstream[r], true)?;
             let ev_ghosts = self.nodes[node].record_event(self.xstream[r]);
             self.nodes[node].stream_wait_event(self.cstream[r], ev_ghosts);
             let valid = self.arrays[dst.0].array.region(r).valid;
@@ -818,12 +776,10 @@ impl Cluster {
             self.stats.host_syncs += 1;
             let ev_k = self.nodes[node].record_event(self.cstream[r]);
             self.nodes[node].stream_wait_event(self.xstream[r], ev_k);
-            self.d2h_grown(a.0, r)?;
+            self.copy_grown(a.0, r, self.xstream[r], false)?;
         }
         let stream = self.xstream[r];
         self.nodes[node].stream_synchronize(stream);
-        let dev_struck = self.nodes[node].device_poisoned(self.arrays[a.0].dev[r]);
-        let _ = dev_struck;
         self.arrays[a.0].resident[r] = false;
         self.arrays[a.0].dirty[r] = false;
         if self.nodes[node].host_poisoned(self.arrays[a.0].host[r]) {
@@ -849,8 +805,12 @@ impl Cluster {
     /// Nodes that crashed or lost a device.
     pub fn lost_nodes(&self) -> Vec<usize> {
         (0..self.nodes.len())
-            .filter(|&n| self.nodes[n].crashed() || !self.nodes[n].lost_devices().is_empty())
+            .filter(|&n| self.node_lost(n))
             .collect()
+    }
+
+    fn node_lost(&self, n: usize) -> bool {
+        self.nodes[n].crashed() || !self.nodes[n].lost_devices().is_empty()
     }
 
     /// Capture a crash-consistent snapshot (the shared TACK [`Checkpoint`]
@@ -861,73 +821,24 @@ impl Cluster {
             self.sync_to_host(ArrayId(a))?;
         }
         self.stats.checkpoints_taken += 1;
-        let data: Vec<Vec<Vec<f64>>> = self
-            .arrays
-            .iter()
-            .map(|e| {
-                e.array
-                    .regions()
-                    .iter()
-                    .map(|r| r.slab.snapshot().unwrap_or_default())
-                    .collect()
-            })
-            .collect();
-        Ok(Checkpoint {
+        Ok(Checkpoint::capture(
             step,
-            clock: 0,
-            stats: self.stats,
-            data,
-            cache: Vec::new(),
-            dirty: Vec::new(),
-        })
+            self.stats,
+            self.arrays.iter().map(|e| &e.array),
+        ))
     }
 
     /// Rebuild host state from a snapshot; all residency is dropped (the
     /// host copies are authoritative afterwards).
     pub fn restore(&mut self, ck: &Checkpoint) -> Result<(), CheckpointError> {
-        if ck.data.len() != self.arrays.len() {
-            return Err(CheckpointError::Incompatible);
-        }
-        for (e, regions) in self.arrays.iter().zip(&ck.data) {
-            if e.array.regions().len() != regions.len() {
-                return Err(CheckpointError::Incompatible);
-            }
-            for (r, saved) in e.array.regions().iter().zip(regions) {
-                if !saved.is_empty() && saved.len() != r.slab.len() {
-                    return Err(CheckpointError::Incompatible);
-                }
-            }
-        }
-        if ck.cache.iter().any(|&c| c != -1) || ck.dirty.iter().any(|&d| d) {
-            return Err(CheckpointError::Incompatible);
-        }
-        for (e, regions) in self.arrays.iter().zip(&ck.data) {
-            for (r, saved) in e.array.regions().iter().zip(regions) {
-                if !saved.is_empty() {
-                    r.slab.materialize();
-                    r.slab.with_mut(|dst| {
-                        if let Some(dst) = dst {
-                            dst.copy_from_slice(saved);
-                        }
-                    });
-                }
-            }
-        }
+        ck.write_back(self.arrays.iter().map(|e| &e.array))?;
         for a in self.arrays.iter_mut() {
-            for f in a.resident.iter_mut() {
-                *f = false;
-            }
-            for f in a.dirty.iter_mut() {
-                *f = false;
-            }
+            a.drop_residency();
         }
-        if self.initialized {
-            for ai in 0..self.arrays.len() {
-                for r in 0..self.num_regions() {
-                    let node = self.node_of(r);
-                    let host = self.arrays[ai].host[r];
-                    self.nodes[node].clear_host_poison(host);
-                }
+        // Host handles live on each region's owner node (none before init).
+        for a in &self.arrays {
+            for (r, &h) in a.host.iter().enumerate() {
+                self.nodes[self.owner[r] / self.dpn].clear_host_poison(h);
             }
         }
         self.stats = ck.stats;
@@ -940,27 +851,15 @@ impl Cluster {
     /// migration), residency dropped. Healthy survivors are preferred;
     /// quarantined ones are a last resort.
     pub fn migrate_off(&mut self, from_node: usize) -> Result<(), ClusterError> {
-        let from_lost =
-            self.nodes[from_node].crashed() || !self.nodes[from_node].lost_devices().is_empty();
-        if from_lost {
+        if self.node_lost(from_node) {
             self.health.note_dead(from_node);
         }
         if !self.initialized {
             return Ok(());
         }
-        let all: Vec<usize> = (0..self.nodes.len())
-            .filter(|&n| {
-                n != from_node
-                    && !self.nodes[n].crashed()
-                    && self.nodes[n].lost_devices().is_empty()
-            })
-            .collect();
-        let healthy: Vec<usize> = all
-            .iter()
-            .copied()
-            .filter(|&n| self.health.state(n) == HealthState::Healthy)
-            .collect();
-        let survivors = if healthy.is_empty() { all } else { healthy };
+        let survivors = self
+            .health
+            .survivors(|n| n != from_node && !self.node_lost(n));
         if survivors.is_empty() {
             return Err(ClusterError::NoSurvivors);
         }
@@ -1064,7 +963,8 @@ mod tests {
     use super::*;
     use gpu_sim::{DeviceDeath, LinkFault};
     use kernels::heat;
-    use tida::{Domain, ExchangeMode, RegionSpec};
+    use std::sync::Arc;
+    use tida::{Decomposition, Domain, ExchangeMode, RegionSpec};
 
     fn init(iv: IntVect) -> f64 {
         ((iv.x() * 3 + iv.y() * 5 + iv.z() * 7) % 11) as f64

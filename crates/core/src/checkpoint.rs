@@ -5,21 +5,24 @@
 //! [`AccStats`], every registered region's host slab, and the cache-list /
 //! dirty-bit state (which, because snapshots are taken *after* a full
 //! `sync_to_host`, must be empty/clean — the crash-consistency invariant
-//! validated on restore).
+//! validated on restore). Every region runtime ([`crate::TileAcc`],
+//! [`crate::MultiAcc`], the cluster layer) snapshots through
+//! [`Checkpoint::capture`] and restores through [`Checkpoint::write_back`];
+//! each keeps only its own residency reset.
 //!
 //! # Binary format (version 4)
 //!
 //! ```text
 //! magic   b"TACK"
 //! version u16 LE
-//! section*  { tag u8, payload_len u64 LE, payload, fnv1a64(payload) u64 LE }
+//! section×3 { tag u8, payload_len u64 LE, payload, fnv1a64(payload) u64 LE }
 //! ```
 //!
-//! Sections: `META` (1) — step, clock, shape, cache list, dirty bits;
-//! `STATS` (2) — the [`AccStats`] fields as u64 LE; `DATA` (3) — all region
-//! values as f64 LE, concatenated in registration order. Every section
-//! carries its own FNV-1a checksum, so a torn write (truncation) surfaces as
-//! [`CheckpointError::Torn`] and a bit flip as
+//! Sections, in this order: `META` (1) — step, clock, shape, cache list,
+//! dirty bits; `STATS` (2) — the [`AccStats`] fields as u64 LE; `DATA`
+//! (3) — all region values as f64 LE, concatenated in registration order.
+//! Every section carries its own FNV-1a checksum, so a torn write
+//! (truncation) surfaces as [`CheckpointError::Torn`] and a bit flip as
 //! [`CheckpointError::ChecksumMismatch`] — a reader never trusts a partial
 //! or corrupt snapshot.
 //!
@@ -32,6 +35,7 @@ use crate::stats::AccStats;
 use std::collections::VecDeque;
 use std::fmt;
 use std::path::{Path, PathBuf};
+use tida::TileArray;
 
 const MAGIC: &[u8; 4] = b"TACK";
 // v2: the stats section grew from 22 to 26 words (prefetch/deferral
@@ -159,12 +163,39 @@ struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        if self.pos + n > self.buf.len() {
+        let end = self
+            .pos
+            .checked_add(n)
+            .filter(|&end| end <= self.buf.len())
+            .ok_or(CheckpointError::Torn)?;
+        let s = &self.buf[self.pos..end];
+        self.pos = end;
+        Ok(s)
+    }
+
+    /// A u64 element count, rejected as torn unless `count` elements of at
+    /// least `elem_bytes` each fit in what is left — so a lying count never
+    /// reaches an allocation.
+    fn count(&mut self, elem_bytes: usize) -> Result<usize, CheckpointError> {
+        let n = usize::try_from(self.u64()?).map_err(|_| CheckpointError::Torn)?;
+        match n.checked_mul(elem_bytes) {
+            Some(bytes) if bytes <= self.buf.len() - self.pos => Ok(n),
+            _ => Err(CheckpointError::Torn),
+        }
+    }
+
+    /// The next `{tag, len, payload, checksum}` section, which must carry
+    /// `tag`: the decoder accepts only the layout `encode` writes.
+    fn section(&mut self, tag: u8) -> Result<&'a [u8], CheckpointError> {
+        if self.u8()? != tag {
             return Err(CheckpointError::Torn);
         }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+        let len = self.count(1)?;
+        let payload = self.take(len)?;
+        if fnv1a64(payload) != self.u64()? {
+            return Err(CheckpointError::ChecksumMismatch);
+        }
+        Ok(payload)
     }
 
     fn u8(&mut self) -> Result<u8, CheckpointError> {
@@ -274,6 +305,55 @@ impl Checkpoint {
         }
     }
 
+    /// Snapshot the host slabs of a runtime's registered `arrays`. The
+    /// runtime must have drained every region home first, so the snapshot
+    /// holds no resident or dirty slot.
+    pub fn capture<'a>(
+        step: u64,
+        stats: AccStats,
+        arrays: impl Iterator<Item = &'a TileArray>,
+    ) -> Checkpoint {
+        let snap = |a: &TileArray| {
+            a.regions()
+                .iter()
+                .map(|r| r.slab.snapshot().unwrap_or_default())
+                .collect()
+        };
+        Checkpoint {
+            stats,
+            ..Checkpoint::from_region_data(step, arrays.map(snap).collect())
+        }
+    }
+
+    /// Validate this snapshot against a runtime's registered `arrays`, then
+    /// write its region data into their host slabs. A different
+    /// array/region shape, or a resident or dirty slot (a torn writer
+    /// could not have produced one post-sync), is rejected before anything
+    /// is written. The caller then resets its own residency.
+    pub fn write_back<'a>(
+        &self,
+        arrays: impl Iterator<Item = &'a TileArray>,
+    ) -> Result<(), CheckpointError> {
+        let arrays: Vec<&TileArray> = arrays.collect();
+        // An empty saved slab is a virtual (never grown) region.
+        let fits = arrays.len() == self.data.len()
+            && arrays.iter().zip(&self.data).all(|(a, saved)| {
+                a.regions().len() == saved.len()
+                    && (a.regions().iter().zip(saved))
+                        .all(|(r, s)| s.is_empty() || s.len() == r.slab.len())
+            });
+        if !fits || self.cache.iter().any(|&c| c != -1) || self.dirty.iter().any(|&d| d) {
+            return Err(CheckpointError::Incompatible);
+        }
+        for (a, saved) in arrays.iter().zip(&self.data) {
+            for (r, s) in a.regions().iter().zip(saved).filter(|(_, s)| !s.is_empty()) {
+                r.slab.materialize();
+                r.slab.with_mut(|dst| dst.map(|dst| dst.copy_from_slice(s)));
+            }
+        }
+        Ok(())
+    }
+
     /// The `[array][region]` host values this snapshot carries.
     pub fn region_data(&self) -> &[Vec<Vec<f64>>] {
         &self.data
@@ -327,7 +407,9 @@ impl Checkpoint {
     }
 
     /// Decode a blob, rejecting torn or corrupt snapshots. Inverse of
-    /// [`Checkpoint::encode`].
+    /// [`Checkpoint::encode`] and total: any input yields a checkpoint or a
+    /// typed error, never a panic or an unbounded allocation. Only the
+    /// canonical layout decodes, so an `Ok` result re-encodes to the blob.
     pub fn decode(blob: &[u8]) -> Result<Checkpoint, CheckpointError> {
         let mut r = Reader { buf: blob, pos: 0 };
         if r.take(4).map_err(|_| CheckpointError::Torn)? != MAGIC {
@@ -337,67 +419,64 @@ impl Checkpoint {
         if version != VERSION {
             return Err(CheckpointError::UnsupportedVersion(version));
         }
-        let (mut meta, mut stats, mut data) = (None, None, None);
-        while !r.done() {
-            let tag = r.u8()?;
-            let len = r.u64()? as usize;
-            let payload = r.take(len)?.to_vec();
-            let sum = r.u64()?;
-            if fnv1a64(&payload) != sum {
-                return Err(CheckpointError::ChecksumMismatch);
-            }
-            match tag {
-                TAG_META => meta = Some(payload),
-                TAG_STATS => stats = Some(payload),
-                TAG_DATA => data = Some(payload),
-                // Unknown sections from a future minor revision are skipped
-                // (their checksum was still verified above).
-                _ => {}
-            }
+        let meta = r.section(TAG_META)?;
+        let stats = r.section(TAG_STATS)?;
+        let data = r.section(TAG_DATA)?;
+        if !r.done() {
+            return Err(CheckpointError::Torn);
         }
-        let (meta, stats, data) = match (meta, stats, data) {
-            (Some(m), Some(s), Some(d)) => (m, s, d),
-            _ => return Err(CheckpointError::Torn),
-        };
 
-        let mut m = Reader { buf: &meta, pos: 0 };
+        let mut m = Reader { buf: meta, pos: 0 };
         let step = m.u64()?;
         let clock = m.u64()?;
-        let narrays = m.u64()? as usize;
+        let narrays = m.count(8)?;
         let mut shape: Vec<Vec<usize>> = Vec::with_capacity(narrays);
         for _ in 0..narrays {
-            let nregions = m.u64()? as usize;
+            let nregions = m.count(8)?;
             let mut lens = Vec::with_capacity(nregions);
             for _ in 0..nregions {
-                lens.push(m.u64()? as usize);
+                lens.push(usize::try_from(m.u64()?).map_err(|_| CheckpointError::Incompatible)?);
             }
             shape.push(lens);
         }
-        let ncache = m.u64()? as usize;
+        let ncache = m.count(8)?;
         let mut cache = Vec::with_capacity(ncache);
         for _ in 0..ncache {
             cache.push(m.u64()? as i64);
         }
-        let ndirty = m.u64()? as usize;
+        let ndirty = m.count(1)?;
         let mut dirty = Vec::with_capacity(ndirty);
         for _ in 0..ndirty {
-            dirty.push(m.u8()? != 0);
+            dirty.push(match m.u8()? {
+                0 => false,
+                1 => true,
+                _ => return Err(CheckpointError::Incompatible),
+            });
+        }
+        if !m.done() {
+            return Err(CheckpointError::Incompatible);
         }
 
-        let mut s = Reader {
-            buf: &stats,
-            pos: 0,
-        };
         let mut words = [0u64; 31];
+        if stats.len() != 8 * words.len() {
+            return Err(CheckpointError::Incompatible);
+        }
+        let mut s = Reader { buf: stats, pos: 0 };
         for w in &mut words {
             *w = s.u64()?;
         }
 
-        let total: usize = shape.iter().flatten().sum();
-        if data.len() != total * 8 {
+        // Region lengths are untrusted: sum them with checked arithmetic and
+        // match the DATA section before allocating any of them.
+        let total = shape
+            .iter()
+            .flatten()
+            .try_fold(0usize, |acc, &len| acc.checked_add(len))
+            .and_then(|t| t.checked_mul(8));
+        if total != Some(data.len()) {
             return Err(CheckpointError::Incompatible);
         }
-        let mut d = Reader { buf: &data, pos: 0 };
+        let mut d = Reader { buf: data, pos: 0 };
         let mut values: Vec<Vec<Vec<f64>>> = Vec::with_capacity(narrays);
         for lens in &shape {
             let mut regions = Vec::with_capacity(lens.len());
@@ -655,6 +734,151 @@ mod tests {
                 matches!(e, CheckpointError::ChecksumMismatch | CheckpointError::Torn),
                 "flip at {at} gave {e:?}"
             );
+        }
+    }
+
+    /// One checksummed section, laid out as `encode` writes it.
+    fn section(tag: u8, payload: &[u8]) -> Vec<u8> {
+        let mut out = vec![tag];
+        put_u64(&mut out, payload.len() as u64);
+        out.extend_from_slice(payload);
+        put_u64(&mut out, fnv1a64(payload));
+        out
+    }
+
+    fn words(w: &[u64]) -> Vec<u8> {
+        w.iter().flat_map(|w| w.to_le_bytes()).collect()
+    }
+
+    /// A blob with valid framing and checksums around `meta`, a zeroed
+    /// stats section, and `data`.
+    fn sealed(meta: &[u8], data: &[u8]) -> Vec<u8> {
+        let mut blob = MAGIC.to_vec();
+        blob.extend_from_slice(&VERSION.to_le_bytes());
+        blob.extend(section(TAG_META, meta));
+        blob.extend(section(TAG_STATS, &[0; 31 * 8]));
+        blob.extend(section(TAG_DATA, data));
+        blob
+    }
+
+    #[test]
+    fn section_length_past_the_blob_is_torn_not_a_panic() {
+        // Magic, version, a tag, and a section length of u64::MAX: the
+        // bounds check used to overflow `pos + len`.
+        let mut blob = MAGIC.to_vec();
+        blob.extend_from_slice(&VERSION.to_le_bytes());
+        blob.push(TAG_META);
+        put_u64(&mut blob, u64::MAX);
+        assert_eq!(blob.len(), 15);
+        assert_eq!(Checkpoint::decode(&blob), Err(CheckpointError::Torn));
+    }
+
+    #[test]
+    fn lying_meta_counts_never_reach_an_allocation() {
+        // Checksum-valid META claiming 2^60 arrays (and, separately, 2^60
+        // cache entries / dirty bits): bounded by the bytes left, not
+        // handed to `Vec::with_capacity`.
+        for meta in [
+            vec![7, 0, 1 << 60],
+            vec![7, 0, 0, 1 << 60],
+            vec![7, 0, 0, 0, 1 << 60],
+            vec![7, 0, 1, 1 << 60, 0, 0],
+        ] {
+            assert_eq!(
+                Checkpoint::decode(&sealed(&words(&meta), &[])),
+                Err(CheckpointError::Torn),
+                "{meta:?}"
+            );
+        }
+        // Region lengths whose sum (or byte size) overflows usize.
+        for lens in [[u64::MAX, 2], [1 << 61, 0]] {
+            let meta = [7, 0, 1, 2, lens[0], lens[1], 0, 0];
+            assert_eq!(
+                Checkpoint::decode(&sealed(&words(&meta), &[0; 16])),
+                Err(CheckpointError::Incompatible)
+            );
+        }
+    }
+
+    #[test]
+    fn only_the_canonical_layout_decodes() {
+        let blob = sample().encode();
+        // Trailing bytes after the DATA section.
+        let mut b = blob.clone();
+        b.push(0);
+        assert_eq!(Checkpoint::decode(&b), Err(CheckpointError::Torn));
+        // A dirty byte other than 0/1 would not re-encode to itself.
+        let mut meta = words(&[7, 0, 0, 0, 1]);
+        meta.push(1);
+        assert!(Checkpoint::decode(&sealed(&meta, &[])).is_ok());
+        *meta.last_mut().unwrap() = 2;
+        let e = Checkpoint::decode(&sealed(&meta, &[]));
+        assert_eq!(e, Err(CheckpointError::Incompatible));
+        // META bytes past the dirty bits.
+        meta.pop();
+        meta.extend([1, 0]);
+        let e = Checkpoint::decode(&sealed(&meta, &[]));
+        assert_eq!(e, Err(CheckpointError::Incompatible));
+    }
+
+    /// Recompute every section checksum of a blob whose framing is intact,
+    /// so a payload edit reaches the decoder past the checksum layer.
+    fn reseal(blob: &mut [u8]) {
+        let mut pos = 6;
+        while pos + 9 <= blob.len() {
+            let len = u64::from_le_bytes(blob[pos + 1..pos + 9].try_into().unwrap()) as usize;
+            let Some(end) = (pos + 9).checked_add(len).filter(|&e| e + 8 <= blob.len()) else {
+                return;
+            };
+            let sum = fnv1a64(&blob[pos + 9..end]);
+            blob[end..end + 8].copy_from_slice(&sum.to_le_bytes());
+            pos = end + 8;
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(2000))]
+
+        /// Truncated, bit-flipped, spliced and resealed encodings of
+        /// `sample()` never panic the decoder, and whatever decodes
+        /// re-encodes to the very same blob.
+        #[test]
+        fn prop_mutated_blobs_decode_totally(
+            kind in 0u8..4,
+            at in 0usize..4096,
+            other in 0usize..4096,
+            word in proptest::arbitrary::any::<u64>(),
+        ) {
+            let blob = sample().encode();
+            let mut donor = sample();
+            donor.step = 9;
+            donor.data[1][1].push(4.0);
+            let donor = donor.encode();
+            let b = match kind {
+                0 => blob[..at % (blob.len() + 1)].to_vec(),
+                1 => {
+                    let mut b = blob.clone();
+                    b[at % blob.len()] ^= 1 << (other % 8);
+                    b
+                }
+                2 => {
+                    let mut b = blob[..at % (blob.len() + 1)].to_vec();
+                    b.extend_from_slice(&donor[other % (donor.len() + 1)..]);
+                    b
+                }
+                _ => {
+                    // Overwrite one 8-byte word inside META (step, clock or
+                    // a count), then reseal so the checksum still passes.
+                    let mut b = blob.clone();
+                    let i = 15 + 8 * (at % 12);
+                    b[i..i + 8].copy_from_slice(&word.to_le_bytes());
+                    reseal(&mut b);
+                    b
+                }
+            };
+            if let Ok(ck) = Checkpoint::decode(&b) {
+                proptest::prop_assert_eq!(ck.encode(), b);
+            }
         }
     }
 

@@ -158,7 +158,7 @@ impl TileAcc {
                 self.gpu_mut().stream_wait_event(dst_stream, ev);
             }
         }
-        self.drain_consumers_pub(s_dst, s_dst);
+        self.drain_consumers_into(s_dst, s_dst);
 
         let backed = self.gpu().backed();
         let dst_slab = self.gpu().device_slab(self.slot_dev(s_dst));
@@ -209,14 +209,14 @@ impl TileAcc {
         self.gpu_mut().launch_kernel(dst_stream, launch);
         self.mark_dirty(s_dst);
         for &(_, s) in &src_slots {
-            self.note_foreign_read_pub(s, s_dst);
+            self.note_foreign_read(s, s_dst);
         }
         for _ in mine {
             self.bump_ghost_gpu();
         }
         // The crash trigger may have fired on one of this exchange's
         // transfers or on the gather launch itself.
-        self.check_alive_pub()?;
+        self.check_alive()?;
         Ok(true)
     }
 
@@ -268,7 +268,7 @@ impl TileAcc {
 
         // Barrier-free correctness: the gather writes s_dst, so it must
         // wait for kernels in other streams still reading it.
-        self.drain_consumers_pub(s_dst, s_dst);
+        self.drain_consumers_into(s_dst, s_dst);
 
         let backed = self.gpu().backed();
         let dst_slab = self.gpu().device_slab(self.slot_dev(s_dst));
@@ -301,10 +301,10 @@ impl TileAcc {
                 }),
         );
         self.mark_dirty(s_dst);
-        self.note_foreign_read_pub(s_src, s_dst);
+        self.note_foreign_read(s_src, s_dst);
         self.bump_ghost_gpu();
         // The crash trigger may have fired on this patch's transfers or on
         // the gather launch itself.
-        self.check_alive_pub()
+        self.check_alive()
     }
 }

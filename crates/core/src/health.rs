@@ -15,6 +15,7 @@
 //! devices when re-owning migrated regions) and surface its transition
 //! counters through [`gpu_sim::RunReport::health`].
 
+use crate::options::Retried;
 use gpu_sim::HealthCounters;
 
 /// Scoring and hysteresis knobs. Scores live in `[0, 1]`; a fresh device
@@ -155,6 +156,29 @@ impl HealthMonitor {
         self.penalize(device, self.policy.latency_penalty);
     }
 
+    /// Charge `device` with a retried transfer: one fault per faulted
+    /// attempt, then a clean observation if an attempt went through.
+    pub fn observe_transfer(&mut self, device: usize, t: &Retried) {
+        for _ in 0..t.faults {
+            self.observe_fault(device);
+        }
+        if t.outcome.is_ok() {
+            self.observe_success(device);
+        }
+    }
+
+    /// Placement candidates among the devices `alive` accepts: the healthy
+    /// ones, or every live one when quarantine is all that is left.
+    pub fn survivors(&self, alive: impl Fn(usize) -> bool) -> Vec<usize> {
+        let all: Vec<usize> = (0..self.num_devices()).filter(|&d| alive(d)).collect();
+        let healthy: Vec<usize> = all.iter().copied().filter(|&d| self.available(d)).collect();
+        if healthy.is_empty() {
+            all
+        } else {
+            healthy
+        }
+    }
+
     /// `device` is permanently gone. Idempotent; counted once.
     pub fn note_dead(&mut self, device: usize) {
         if self.states[device] != HealthState::Dead {
@@ -254,6 +278,51 @@ mod tests {
         assert_eq!(m.state(0), HealthState::Dead, "no resurrection");
         assert_eq!(m.score(0), 0.0);
         assert_eq!(m.available_devices(), vec![1]);
+    }
+
+    #[test]
+    fn survivors_prefer_healthy_then_fall_back_to_quarantined() {
+        let mut m = HealthMonitor::with_defaults(4);
+        m.note_dead(0);
+        for _ in 0..4 {
+            m.observe_fault(2);
+        }
+        assert_eq!(m.state(2), HealthState::Quarantined);
+        assert_eq!(m.survivors(|d| d != 0), vec![1, 3]);
+        // Only the quarantined device is left alive: it beats failing.
+        assert_eq!(m.survivors(|d| d == 2), vec![2]);
+        assert!(m.survivors(|_| false).is_empty());
+    }
+
+    #[test]
+    fn observe_transfer_charges_each_fault_then_the_success() {
+        use crate::options::TransferFailure;
+        let mut a = HealthMonitor::with_defaults(1);
+        let mut b = HealthMonitor::with_defaults(1);
+        let op = gpu_sim::OpId(0);
+        a.observe_transfer(
+            0,
+            &Retried {
+                outcome: Ok(op),
+                retries: 2,
+                faults: 2,
+            },
+        );
+        b.observe_fault(0);
+        b.observe_fault(0);
+        b.observe_success(0);
+        assert_eq!(a.score(0), b.score(0));
+        let exhausted = Retried {
+            outcome: Err(TransferFailure::Exhausted),
+            retries: 3,
+            faults: 4,
+        };
+        a.observe_transfer(0, &exhausted);
+        for _ in 0..4 {
+            b.observe_fault(0);
+        }
+        assert_eq!(a.score(0), b.score(0));
+        assert_eq!(a.state(0), b.state(0));
     }
 
     #[test]

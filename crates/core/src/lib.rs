@@ -68,8 +68,8 @@ pub use checkpoint::{Checkpoint, CheckpointError, CheckpointPolicy, CheckpointSt
 pub use error::{AccError, IntegrityKind};
 pub use health::{HealthMonitor, HealthPolicy, HealthState};
 pub use iter::AccIter;
-pub use multi::MultiAcc;
-pub use options::{AccOptions, RetryPolicy, SlotPolicy, WritebackPolicy};
+pub use multi::{MultiAcc, OwnedArray};
+pub use options::{AccOptions, Retried, RetryPolicy, SlotPolicy, TransferFailure, WritebackPolicy};
 pub use plan::recommend_fusion_depth;
 pub use recovery::{restore_into, RecoveryError, RecoveryOutcome, Supervisor, SupervisorConfig};
 pub use stats::AccStats;

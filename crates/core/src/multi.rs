@@ -21,8 +21,8 @@
 
 use crate::checkpoint::{Checkpoint, CheckpointError};
 use crate::error::{AccError, IntegrityKind};
-use crate::health::{HealthMonitor, HealthState};
-use crate::options::RetryPolicy;
+use crate::health::HealthMonitor;
+use crate::options::{RetryPolicy, TransferFailure};
 use crate::recovery::RecoveryError;
 use crate::stats::AccStats;
 use crate::tileacc::ArrayId;
@@ -30,14 +30,56 @@ use gpu_sim::{
     DeviceBuffer, GpuSystem, HostBuffer, HostMemKind, KernelCost, KernelLaunch, SimTime, StreamId,
 };
 use std::sync::Arc;
-use tida::{with_dst_src, with_view_mut, Box3, Decomposition, GhostPatch, Tile, TileArray};
+use tida::{with_dst_src, with_view_mut, Box3, GhostPatch, Tile, TileArray};
 
-struct MArray {
-    array: TileArray,
-    host: Vec<HostBuffer>,
-    dev: Vec<DeviceBuffer>,
-    resident: Vec<bool>,
-    dirty: Vec<bool>,
+/// One array registered with a runtime that keeps every region on an owner
+/// device ([`MultiAcc`], the cluster layer). Vectors are indexed by region.
+pub struct OwnedArray {
+    pub array: TileArray,
+    /// Host buffer handle per region on its owner's platform.
+    pub host: Vec<HostBuffer>,
+    /// Device buffer per region on its owner device.
+    pub dev: Vec<DeviceBuffer>,
+    pub resident: Vec<bool>,
+    pub dirty: Vec<bool>,
+}
+
+impl OwnedArray {
+    /// Append `array` (with its per-region `host` handles, possibly empty
+    /// until placement) to `arrays`. All registered arrays must share one
+    /// decomposition.
+    pub fn register(
+        arrays: &mut Vec<OwnedArray>,
+        array: &TileArray,
+        host: Vec<HostBuffer>,
+    ) -> ArrayId {
+        if let Some(first) = arrays.first() {
+            assert!(
+                Arc::ptr_eq(first.array.decomp(), array.decomp()),
+                "all registered arrays must share one decomposition"
+            );
+        }
+        arrays.push(OwnedArray {
+            array: array.clone(),
+            host,
+            dev: Vec::new(),
+            resident: Vec::new(),
+            dirty: Vec::new(),
+        });
+        ArrayId(arrays.len() - 1)
+    }
+
+    /// Regions of the shared decomposition (panics before registration).
+    pub fn num_regions(arrays: &[OwnedArray]) -> usize {
+        let first = arrays.first().expect("no arrays");
+        first.array.decomp().num_regions()
+    }
+
+    /// Drop every region's residency: the host copies are authoritative.
+    pub fn drop_residency(&mut self) {
+        self.resident.fill(false);
+        self.dirty.fill(false);
+    }
 }
 
 /// Per-cross-device-patch staging buffers (source-side and destination-side).
@@ -50,8 +92,7 @@ struct PatchStaging {
 /// The multi-GPU runtime. See the module docs.
 pub struct MultiAcc {
     gpu: GpuSystem,
-    decomp: Option<Arc<Decomposition>>,
-    arrays: Vec<MArray>,
+    arrays: Vec<OwnedArray>,
     /// Owner device per region (contiguous blocks).
     owner: Vec<usize>,
     /// One stream per region, on its owner device.
@@ -78,7 +119,6 @@ impl MultiAcc {
         let health = HealthMonitor::with_defaults(gpu.num_devices());
         MultiAcc {
             gpu,
-            decomp: None,
             arrays: Vec::new(),
             owner: Vec::new(),
             streams: Vec::new(),
@@ -103,13 +143,6 @@ impl MultiAcc {
     /// Register an array (all arrays must share one decomposition).
     pub fn register(&mut self, array: &TileArray) -> ArrayId {
         assert!(!self.initialized, "register arrays before first use");
-        match &self.decomp {
-            None => self.decomp = Some(array.decomp().clone()),
-            Some(d) => assert!(
-                Arc::ptr_eq(d, array.decomp()),
-                "all registered arrays must share one decomposition"
-            ),
-        }
         let host: Vec<HostBuffer> = array
             .regions()
             .iter()
@@ -118,14 +151,7 @@ impl MultiAcc {
                     .adopt_host_slab(r.slab.clone(), HostMemKind::Pinned)
             })
             .collect();
-        self.arrays.push(MArray {
-            array: array.clone(),
-            host,
-            dev: Vec::new(),
-            resident: Vec::new(),
-            dirty: Vec::new(),
-        });
-        ArrayId(self.arrays.len() - 1)
+        OwnedArray::register(&mut self.arrays, array, host)
     }
 
     /// Device owning a region.
@@ -168,7 +194,7 @@ impl MultiAcc {
     }
 
     fn num_regions(&self) -> usize {
-        self.decomp.as_ref().expect("no arrays").num_regions()
+        OwnedArray::num_regions(&self.arrays)
     }
 
     /// Fail fast when the simulated platform has crashed (see
@@ -237,39 +263,16 @@ impl MultiAcc {
         if !write_all {
             let len = self.arrays[a.0].array.region(r).slab.len();
             let (dev, host) = (self.arrays[a.0].dev[r], self.arrays[a.0].host[r]);
-            let device = self.owner[r];
+            let (device, stream, retry) = (self.owner[r], self.streams[r], self.retry);
             self.stats.loads += 1;
-            let mut op = self
-                .gpu
-                .memcpy_h2d_async(dev, 0, host, 0, len, self.streams[r]);
-            let mut attempt: u32 = 0;
-            while self.gpu.op_faulted(op) {
-                if self.gpu.crashed() {
-                    // A crash is not a persistent transfer fault; retrying a
-                    // dead platform would misdiagnose it.
-                    return Err(AccError::Crashed);
-                }
-                if self.gpu.device_lost(device) {
-                    // The device died under this transfer: retrying is
-                    // hopeless, but the host mirror is intact — surface the
-                    // typed loss so the caller can migrate and fail over.
-                    return Err(AccError::DeviceLost { device });
-                }
-                self.health.observe_fault(device);
-                if self.retry.exhausted(attempt) {
-                    // MultiAcc cannot degrade past a persistent H2D fault:
-                    // it keeps every region device-resident.
-                    return Err(AccError::TransferExhausted { region: r });
-                }
-                self.stats.transfer_retries += 1;
-                self.gpu
-                    .backoff_work(self.retry.backoff(attempt), "h2d-retry-backoff");
-                op = self
-                    .gpu
-                    .memcpy_h2d_async(dev, 0, host, 0, len, self.streams[r]);
-                attempt += 1;
-            }
-            self.health.observe_success(device);
+            let t = retry.transfer(&mut self.gpu, device, "h2d-retry-backoff", |g| {
+                g.memcpy_h2d_async(dev, 0, host, 0, len, stream)
+            });
+            self.stats.transfer_retries += u64::from(t.retries);
+            self.health.observe_transfer(device, &t);
+            // No host fallback: every failure surfaces typed. On a device
+            // loss the host mirror is intact and the caller can fail over.
+            t.outcome.map_err(|f| f.acc_error(device, r))?;
         } else {
             self.stats.write_allocs += 1;
         }
@@ -286,42 +289,24 @@ impl MultiAcc {
         if self.arrays[a.0].dirty[r] {
             let len = self.arrays[a.0].array.region(r).slab.len();
             let (dev, host) = (self.arrays[a.0].dev[r], self.arrays[a.0].host[r]);
-            let device = self.owner[r];
+            let (device, stream, retry) = (self.owner[r], self.streams[r], self.retry);
             self.stats.host_syncs += 1;
-            let mut op = self
-                .gpu
-                .memcpy_d2h_async(host, 0, dev, 0, len, self.streams[r]);
-            let mut attempt: u32 = 0;
-            while self.gpu.op_faulted(op) {
-                if self.gpu.crashed() {
-                    // Device data died with the platform; not even the
-                    // salvage path can rescue it.
-                    return Err(AccError::Crashed);
-                }
-                if self.gpu.device_lost(device) {
-                    // The dirty device copy died with its device; only a
-                    // checkpoint taken before this step can reconstruct it.
-                    return Err(AccError::DeviceLost { device });
-                }
-                self.health.observe_fault(device);
-                if self.retry.exhausted(attempt) {
-                    // Last resort: the fault-exempt salvage path still gets
-                    // the data home (slowly) before we give up retrying.
+            let t = retry.transfer(&mut self.gpu, device, "d2h-retry-backoff", |g| {
+                g.memcpy_d2h_async(host, 0, dev, 0, len, stream)
+            });
+            self.stats.transfer_retries += u64::from(t.retries);
+            self.health.observe_transfer(device, &t);
+            match t.outcome {
+                Ok(_) => {}
+                // Last resort: the fault-exempt salvage path still gets the
+                // data home (slowly).
+                Err(TransferFailure::Exhausted) => {
                     self.stats.salvaged_regions += 1;
-                    self.gpu
-                        .memcpy_d2h_salvage(host, 0, dev, 0, len, self.streams[r]);
-                    break;
+                    self.gpu.memcpy_d2h_salvage(host, 0, dev, 0, len, stream);
                 }
-                self.stats.transfer_retries += 1;
-                self.gpu
-                    .backoff_work(self.retry.backoff(attempt), "d2h-retry-backoff");
-                op = self
-                    .gpu
-                    .memcpy_d2h_async(host, 0, dev, 0, len, self.streams[r]);
-                attempt += 1;
-            }
-            if !self.gpu.op_faulted(op) {
-                self.health.observe_success(device);
+                // A crash, or the dirty device copy died with its device:
+                // only a checkpoint taken before this step can rebuild it.
+                Err(f) => return Err(f.acc_error(device, r)),
             }
         }
         self.gpu.stream_synchronize(self.streams[r]);
@@ -780,17 +765,9 @@ impl MultiAcc {
         if !self.initialized {
             return Ok(());
         }
-        let all: Vec<usize> = (0..self.gpu.num_devices())
-            .filter(|&d| d != from && !self.gpu.device_lost(d))
-            .collect();
-        // Prefer healthy survivors; fall back to quarantined ones rather
-        // than failing when quarantine is all that's left.
-        let healthy: Vec<usize> = all
-            .iter()
-            .copied()
-            .filter(|&d| self.health.state(d) == HealthState::Healthy)
-            .collect();
-        let survivors = if healthy.is_empty() { all } else { healthy };
+        let survivors = self
+            .health
+            .survivors(|d| d != from && !self.gpu.device_lost(d));
         if survivors.is_empty() {
             return Err(AccError::DeviceLost { device: from });
         }
@@ -875,65 +852,19 @@ impl MultiAcc {
         }
         self.check_alive()?;
         self.stats.checkpoints_taken += 1;
-        let data: Vec<Vec<Vec<f64>>> = self
-            .arrays
-            .iter()
-            .map(|e| {
-                e.array
-                    .regions()
-                    .iter()
-                    .map(|r| r.slab.snapshot().unwrap_or_default())
-                    .collect()
-            })
-            .collect();
-        Ok(Checkpoint {
+        Ok(Checkpoint::capture(
             step,
-            clock: 0,
-            stats: self.stats,
-            data,
-            cache: Vec::new(),
-            dirty: Vec::new(),
-        })
+            self.stats,
+            self.arrays.iter().map(|e| &e.array),
+        ))
     }
 
     /// Rebuild this runtime's host state from a snapshot; all residency is
     /// dropped (the host copies are authoritative afterwards).
     pub fn restore(&mut self, ck: &Checkpoint) -> Result<(), CheckpointError> {
-        if ck.data.len() != self.arrays.len() {
-            return Err(CheckpointError::Incompatible);
-        }
-        for (e, regions) in self.arrays.iter().zip(&ck.data) {
-            if e.array.regions().len() != regions.len() {
-                return Err(CheckpointError::Incompatible);
-            }
-            for (r, saved) in e.array.regions().iter().zip(regions) {
-                if !saved.is_empty() && saved.len() != r.slab.len() {
-                    return Err(CheckpointError::Incompatible);
-                }
-            }
-        }
-        if ck.cache.iter().any(|&c| c != -1) || ck.dirty.iter().any(|&d| d) {
-            return Err(CheckpointError::Incompatible);
-        }
-        for (e, regions) in self.arrays.iter().zip(&ck.data) {
-            for (r, saved) in e.array.regions().iter().zip(regions) {
-                if !saved.is_empty() {
-                    r.slab.materialize();
-                    r.slab.with_mut(|dst| {
-                        if let Some(dst) = dst {
-                            dst.copy_from_slice(saved);
-                        }
-                    });
-                }
-            }
-        }
+        ck.write_back(self.arrays.iter().map(|e| &e.array))?;
         for a in self.arrays.iter_mut() {
-            for f in a.resident.iter_mut() {
-                *f = false;
-            }
-            for f in a.dirty.iter_mut() {
-                *f = false;
-            }
+            a.drop_residency();
         }
         // The snapshot's host data just overwrote the mirrors, so any host
         // poison recorded against them is cured.
@@ -952,10 +883,10 @@ impl MultiAcc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ArrayId;
+    use crate::{ArrayId, HealthState};
     use gpu_sim::{GpuSystem, MachineConfig, SimTime};
     use kernels::{busy, heat, init};
-    use tida::{tiles_of, Domain, ExchangeMode, RegionSpec, TileSpec};
+    use tida::{tiles_of, Decomposition, Domain, ExchangeMode, RegionSpec, TileSpec};
 
     fn heat_drive(
         acc: &mut MultiAcc,

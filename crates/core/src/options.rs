@@ -1,6 +1,7 @@
 //! Runtime configuration of the accelerator layer.
 
-use gpu_sim::SimTime;
+use crate::error::AccError;
+use gpu_sim::{GpuSystem, OpId, SimTime};
 
 /// How regions are mapped to device memory slots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,9 +27,8 @@ pub enum SlotPolicy {
 /// retry (doubling per attempt, capped at 16 doublings so the shift can
 /// never overflow).
 ///
-/// One policy governs every retry loop in the stack — the transfer retries
-/// in [`crate::TileAcc`] / [`crate::MultiAcc`] and the job-level admission
-/// retries of the serving layer — so a deployment tunes a single knob.
+/// [`RetryPolicy::transfer`] is the stack's one transfer retry loop; the
+/// serving layer's job-level admission retries use the same policy type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Retries after the initial attempt before the operation is declared
@@ -75,6 +75,78 @@ impl RetryPolicy {
     pub fn backoff(&self, attempt: u32) -> SimTime {
         SimTime::from_ns(self.base_backoff.as_ns() << attempt.min(16))
     }
+
+    /// Submit a transfer through `submit`, resubmitting each faulted attempt
+    /// after [`RetryPolicy::backoff`] of host time (labelled `label`) until
+    /// one goes through or the budget is spent. A fault on a crashed
+    /// platform or a lost `device` is final: retrying dead hardware would
+    /// misdiagnose it as transient. Callers keep what differs: salvage or
+    /// host fallback, their typed error, and feeding a health monitor.
+    pub fn transfer(
+        &self,
+        gpu: &mut GpuSystem,
+        device: usize,
+        label: &'static str,
+        mut submit: impl FnMut(&mut GpuSystem) -> OpId,
+    ) -> Retried {
+        let mut retries = 0;
+        loop {
+            let op = submit(gpu);
+            // Dead hardware faults every submission: clean ops are live.
+            let failure = if !gpu.op_faulted(op) {
+                None
+            } else if gpu.crashed() {
+                Some(TransferFailure::Crashed)
+            } else if gpu.device_lost(device) {
+                Some(TransferFailure::DeviceLost)
+            } else if self.exhausted(retries) {
+                Some(TransferFailure::Exhausted)
+            } else {
+                gpu.backoff_work(self.backoff(retries), label);
+                retries += 1;
+                continue;
+            };
+            return Retried {
+                outcome: failure.map_or(Ok(op), Err),
+                retries,
+                faults: retries + u32::from(failure == Some(TransferFailure::Exhausted)),
+            };
+        }
+    }
+}
+
+/// Why [`RetryPolicy::transfer`] gave up.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TransferFailure {
+    /// The platform crashed: nothing submitted to it will complete.
+    Crashed,
+    /// The transfer's device was lost; the rest of the platform runs on.
+    DeviceLost,
+    /// Every attempt the budget allows faulted.
+    Exhausted,
+}
+
+impl TransferFailure {
+    /// The runtime error this failure surfaces as for `region` on `device`.
+    pub fn acc_error(self, device: usize, region: usize) -> AccError {
+        match self {
+            TransferFailure::Crashed => AccError::Crashed,
+            TransferFailure::DeviceLost => AccError::DeviceLost { device },
+            TransferFailure::Exhausted => AccError::TransferExhausted { region },
+        }
+    }
+}
+
+/// What [`RetryPolicy::transfer`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Retried {
+    /// The op that carried the data, or why no attempt did.
+    pub outcome: Result<OpId, TransferFailure>,
+    /// Attempts resubmitted after a backoff.
+    pub retries: u32,
+    /// Attempts that faulted on live hardware: every retried one, plus the
+    /// last when the budget ran out.
+    pub faults: u32,
 }
 
 /// When an evicted region's device data is copied back to the host.
@@ -197,6 +269,7 @@ impl AccOptions {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpu_sim::{CrashFault, DeviceDeath, FaultPlan, HostMemKind, MachineConfig, TransferFaults};
 
     #[test]
     fn defaults_match_paper() {
@@ -227,6 +300,110 @@ mod tests {
         assert_eq!(o.retry.max_retries, 3);
         assert!(o.retry.base_backoff > SimTime::ZERO);
         assert_eq!(o.with_transfer_retries(9).retry.max_retries, 9);
+    }
+
+    /// One table row: a seeded fault plan and what one H2D transfer under
+    /// the default policy (3 retries, 20 µs base) must report.
+    struct Case {
+        name: &'static str,
+        plan: FaultPlan,
+        outcome: Result<(), TransferFailure>,
+        retries: u32,
+        faults: u32,
+    }
+
+    /// Plan whose H2D lane faults transiently at rate 0.5. Under these
+    /// seeds the leading attempts fault exactly this many times in a row:
+    /// seed 6 → 2, seed 13 → 3, seed 7 → 5.
+    fn transient(seed: u64) -> FaultPlan {
+        FaultPlan {
+            h2d: TransferFaults {
+                transient_rate: 0.5,
+                ..TransferFaults::default()
+            },
+            ..FaultPlan::none().with_seed(seed)
+        }
+    }
+
+    #[test]
+    fn transfer_retries_transients_and_stops_on_dead_hardware() {
+        let cases = [
+            Case {
+                name: "clean copy",
+                plan: FaultPlan::none(),
+                outcome: Ok(()),
+                retries: 0,
+                faults: 0,
+            },
+            Case {
+                name: "two transients",
+                plan: transient(6),
+                outcome: Ok(()),
+                retries: 2,
+                faults: 2,
+            },
+            Case {
+                name: "three transients, the whole budget",
+                plan: transient(13),
+                outcome: Ok(()),
+                retries: 3,
+                faults: 3,
+            },
+            Case {
+                name: "five transients exhaust three retries",
+                plan: transient(7),
+                outcome: Err(TransferFailure::Exhausted),
+                retries: 3,
+                faults: 4,
+            },
+            Case {
+                name: "dead lane",
+                plan: FaultPlan {
+                    h2d: TransferFaults {
+                        fail_after: Some(0),
+                        ..TransferFaults::default()
+                    },
+                    ..FaultPlan::none()
+                },
+                outcome: Err(TransferFailure::Exhausted),
+                retries: 3,
+                faults: 4,
+            },
+            Case {
+                name: "crash on the third attempt",
+                plan: transient(6).with_crash(CrashFault::at_transfer(3)),
+                outcome: Err(TransferFailure::Crashed),
+                retries: 2,
+                faults: 2,
+            },
+            Case {
+                name: "device death on the third attempt",
+                plan: transient(6).with_device_death(DeviceDeath::at_transfer(1, 3)),
+                outcome: Err(TransferFailure::DeviceLost),
+                retries: 2,
+                faults: 2,
+            },
+        ];
+        let policy = RetryPolicy::default();
+        for c in cases {
+            let mut gpu = GpuSystem::multi(MachineConfig::k40m().with_faults(c.plan), 2, false);
+            gpu.set_tracing(true);
+            let host = gpu.malloc_host(4096, HostMemKind::Pinned);
+            let dev = gpu.malloc_device_on(1, 4096).unwrap();
+            let stream = gpu.create_stream_on(1);
+            let t = policy.transfer(&mut gpu, 1, "h2d-retry-backoff", |g| {
+                g.memcpy_h2d_async(dev, 0, host, 0, 4096, stream)
+            });
+            assert_eq!(t.outcome.map(|_| ()), c.outcome, "{}", c.name);
+            assert_eq!((t.retries, t.faults), (c.retries, c.faults), "{}", c.name);
+            // Retry i waits base·2^i of host time before resubmitting.
+            let backoff: u64 = (gpu.trace().spans.iter())
+                .filter(|s| s.category == "backoff")
+                .map(|s| (s.end - s.start).as_ns())
+                .sum();
+            let expected: u64 = (0..c.retries).map(|i| 20_000 << i).sum();
+            assert_eq!(backoff, expected, "{}", c.name);
+        }
     }
 
     #[test]

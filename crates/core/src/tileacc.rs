@@ -32,7 +32,7 @@
 
 use crate::checkpoint::{Checkpoint, CheckpointError};
 use crate::error::{AccError, IntegrityKind};
-use crate::options::{AccOptions, SlotPolicy, WritebackPolicy};
+use crate::options::{AccOptions, SlotPolicy, TransferFailure, WritebackPolicy};
 use crate::plan::StepPlanner;
 use crate::stats::AccStats;
 use gpu_sim::{
@@ -388,7 +388,7 @@ impl TileAcc {
     /// Fail fast when the simulated platform has crashed: everything
     /// submitted after a crash is refused, so device-path work is futile and
     /// any device-resident data is already lost.
-    fn check_alive(&self) -> Result<(), AccError> {
+    pub(crate) fn check_alive(&self) -> Result<(), AccError> {
         if self.gpu.crashed() {
             Err(AccError::Crashed)
         } else {
@@ -609,36 +609,30 @@ impl TileAcc {
         Ok(())
     }
 
-    /// Host→device region load with bounded retry-with-backoff on injected
-    /// transient faults. Exhausting the retries declares the device dead and
-    /// the caller degrades to the host path; a crash is fatal (retrying a
-    /// dead platform would misdiagnose the crash as a persistent fault).
+    /// Host→device region load through the shared retry loop. A device
+    /// path that exhausts the retries (or whose device is lost) is declared
+    /// dead and the caller degrades to the host path; a crash is fatal.
     fn load_h2d(&mut self, s: usize, host: HostBuffer, len: usize) -> Result<OpId, AcquireFail> {
-        let dev = self.slots[s].dev;
-        let stream = self.streams[s];
-        let mut op = self.gpu.memcpy_h2d_async(dev, 0, host, 0, len, stream);
-        let mut attempt: u32 = 0;
-        while self.gpu.op_faulted(op) {
-            if self.gpu.crashed() {
-                return Err(AcquireFail::Fatal(AccError::Crashed));
-            }
-            if self.opts.retry.exhausted(attempt) {
+        let (dev, stream, retry) = (self.slots[s].dev, self.streams[s], self.opts.retry);
+        let device = self.gpu.device_of(dev);
+        let t = retry.transfer(&mut self.gpu, device, "h2d-retry-backoff", |g| {
+            g.memcpy_h2d_async(dev, 0, host, 0, len, stream)
+        });
+        self.stats.transfer_retries += u64::from(t.retries);
+        match t.outcome {
+            Ok(op) => Ok(op),
+            Err(TransferFailure::Crashed) => Err(AcquireFail::Fatal(AccError::Crashed)),
+            Err(_) => {
                 self.fail_device();
-                return Err(AcquireFail::Fallback);
+                Err(AcquireFail::Fallback)
             }
-            self.stats.transfer_retries += 1;
-            self.gpu
-                .backoff_work(self.opts.retry.backoff(attempt), "h2d-retry-backoff");
-            op = self.gpu.memcpy_h2d_async(dev, 0, host, 0, len, stream);
-            attempt += 1;
         }
-        Ok(op)
     }
 
-    /// Device→host copy with bounded retry-with-backoff. When the retries
-    /// are exhausted the region is rescued through the fault-exempt salvage
-    /// path (host data stays authoritative even on a dead link) and the
-    /// device is declared failed. Returns the op that carries the data.
+    /// Device→host copy through the shared retry loop. Past the budget the
+    /// region is rescued through the fault-exempt salvage path (host data
+    /// stays authoritative even on a dead link) and the device is declared
+    /// failed; a crash is fatal. Returns the op that carries the data.
     pub(crate) fn d2h_retrying(
         &mut self,
         dst: HostBuffer,
@@ -646,27 +640,21 @@ impl TileAcc {
         len: usize,
         stream: StreamId,
     ) -> Result<OpId, AccError> {
-        let mut op = self.gpu.memcpy_d2h_async(dst, 0, dev, 0, len, stream);
-        let mut attempt: u32 = 0;
-        while self.gpu.op_faulted(op) {
-            if self.gpu.crashed() {
-                // Device data died with the platform; not even the salvage
-                // path can rescue it. The caller restores a checkpoint.
-                return Err(AccError::Crashed);
-            }
-            if self.opts.retry.exhausted(attempt) {
+        let (device, retry) = (self.gpu.device_of(dev), self.opts.retry);
+        let t = retry.transfer(&mut self.gpu, device, "d2h-retry-backoff", |g| {
+            g.memcpy_d2h_async(dst, 0, dev, 0, len, stream)
+        });
+        self.stats.transfer_retries += u64::from(t.retries);
+        match t.outcome {
+            Ok(op) => Ok(op),
+            Err(TransferFailure::Crashed) => Err(AccError::Crashed),
+            Err(_) => {
                 self.stats.salvaged_regions += 1;
                 let op = self.gpu.memcpy_d2h_salvage(dst, 0, dev, 0, len, stream);
                 self.fail_device();
-                return Ok(op);
+                Ok(op)
             }
-            self.stats.transfer_retries += 1;
-            self.gpu
-                .backoff_work(self.opts.retry.backoff(attempt), "d2h-retry-backoff");
-            op = self.gpu.memcpy_d2h_async(dst, 0, dev, 0, len, stream);
-            attempt += 1;
         }
-        Ok(op)
     }
 
     /// Write a slot's region back to the host with retry/salvage. Clears the
@@ -998,7 +986,7 @@ impl TileAcc {
     /// Record that a kernel running in `consumer_stream_slot`'s stream reads
     /// (or writes) `src_slot`; a later operation on `src_slot` must wait for
     /// it.
-    fn note_foreign_read(&mut self, src_slot: usize, consumer_slot: usize) {
+    pub(crate) fn note_foreign_read(&mut self, src_slot: usize, consumer_slot: usize) {
         if src_slot != consumer_slot {
             let ev = self.gpu.record_event(self.streams[consumer_slot]);
             self.slots[src_slot].foreign_consumers.push(ev);
@@ -1007,7 +995,7 @@ impl TileAcc {
 
     /// Make the next operation submitted to `stream_slot`'s stream wait for
     /// every recorded foreign use of `slot`.
-    fn drain_consumers_into(&mut self, slot: usize, stream_slot: usize) {
+    pub(crate) fn drain_consumers_into(&mut self, slot: usize, stream_slot: usize) {
         let consumers = std::mem::take(&mut self.slots[slot].foreign_consumers);
         for ev in consumers {
             self.gpu.stream_wait_event(self.streams[stream_slot], ev);
@@ -1457,30 +1445,15 @@ impl TileAcc {
         }
         self.check_alive()?;
         self.stats.checkpoints_taken += 1;
-        let data: Vec<Vec<Vec<f64>>> = self
-            .arrays
-            .iter()
-            .map(|e| {
-                e.array
-                    .regions()
-                    .iter()
-                    .map(|r| r.slab.snapshot().unwrap_or_default())
-                    .collect()
-            })
-            .collect();
-        let cache: Vec<i64> = self
-            .cache
-            .iter()
-            .map(|c| c.map(|g| g as i64).unwrap_or(-1))
-            .collect();
-        let dirty: Vec<bool> = self.slots.iter().map(|s| s.dirty).collect();
         Ok(Checkpoint {
-            step,
             clock: self.clock,
-            stats: self.stats,
-            data,
-            cache,
-            dirty,
+            cache: self
+                .cache
+                .iter()
+                .map(|c| c.map(|g| g as i64).unwrap_or(-1))
+                .collect(),
+            dirty: self.slots.iter().map(|s| s.dirty).collect(),
+            ..Checkpoint::capture(step, self.stats, self.arrays.iter().map(|e| &e.array))
         })
     }
 
@@ -1490,38 +1463,7 @@ impl TileAcc {
     /// emptied, and counters are rolled back to the snapshot's values; the
     /// continued run is bit-identical to one that never crashed.
     pub fn restore(&mut self, ck: &Checkpoint) -> Result<(), CheckpointError> {
-        if ck.data.len() != self.arrays.len() {
-            return Err(CheckpointError::Incompatible);
-        }
-        for (e, regions) in self.arrays.iter().zip(&ck.data) {
-            if e.array.regions().len() != regions.len() {
-                return Err(CheckpointError::Incompatible);
-            }
-            for (r, saved) in e.array.regions().iter().zip(regions) {
-                // An empty saved slab means the region was never grown
-                // (virtual); a grown region must match its slab length.
-                if !saved.is_empty() && saved.len() != r.slab.len() {
-                    return Err(CheckpointError::Incompatible);
-                }
-            }
-        }
-        // The snapshot was captured post-sync: a torn writer could not have
-        // produced one with resident or dirty slots.
-        if ck.cache.iter().any(|&c| c != -1) || ck.dirty.iter().any(|&d| d) {
-            return Err(CheckpointError::Incompatible);
-        }
-        for (e, regions) in self.arrays.iter().zip(&ck.data) {
-            for (r, saved) in e.array.regions().iter().zip(regions) {
-                if !saved.is_empty() {
-                    r.slab.materialize();
-                    r.slab.with_mut(|dst| {
-                        if let Some(dst) = dst {
-                            dst.copy_from_slice(saved);
-                        }
-                    });
-                }
-            }
-        }
+        ck.write_back(self.arrays.iter().map(|e| &e.array))?;
         // Drop all device residency; the host copies are authoritative.
         for c in self.cache.iter_mut() {
             *c = None;
@@ -1593,14 +1535,6 @@ impl TileAcc {
         self.opts.ghost_batching
     }
 
-    pub(crate) fn drain_consumers_pub(&mut self, slot: usize, stream_slot: usize) {
-        self.drain_consumers_into(slot, stream_slot);
-    }
-
-    pub(crate) fn check_alive_pub(&self) -> Result<(), AccError> {
-        self.check_alive()
-    }
-
     pub(crate) fn mark_dirty(&mut self, s: usize) {
         self.slots[s].dirty = true;
     }
@@ -1615,10 +1549,6 @@ impl TileAcc {
 
     pub(crate) fn bump_conflict(&mut self) {
         self.stats.conflict_fallbacks += 1;
-    }
-
-    pub(crate) fn note_foreign_read_pub(&mut self, src_slot: usize, consumer_slot: usize) {
-        self.note_foreign_read(src_slot, consumer_slot);
     }
 
     /// Record a device-resident read that bypasses the acquire path (the

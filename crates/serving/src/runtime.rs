@@ -33,7 +33,7 @@ use gpu_sim::{
     HostMemKind, KernelCost, KernelLaunch, MachineConfig, SimTime, StreamId,
 };
 use memslab::{fnv1a64_f64s, Slab};
-use tida_acc::{AccError, Checkpoint, IntegrityKind, RetryPolicy};
+use tida_acc::{AccError, Checkpoint, IntegrityKind, RetryPolicy, TransferFailure};
 
 use crate::job::{JobId, JobResult, JobSpec};
 use crate::queue::{AdmissionQueue, QueuedJob};
@@ -137,6 +137,23 @@ struct ActiveJob {
     /// TACK blob of the last durable snapshot (crash restart point).
     checkpoint: Option<Vec<u8>>,
     preempt_requested: bool,
+}
+
+impl ActiveJob {
+    /// The queue entry that brings this job back no earlier than `now`,
+    /// resuming from `resume` (a TACK blob, or `None` for the seed) with its
+    /// identity, submit time and budgets intact.
+    fn requeue_entry(self, now: SimTime, resume: Option<Vec<u8>>) -> QueuedJob {
+        QueuedJob {
+            id: self.id,
+            spec: self.spec,
+            submitted: self.submitted,
+            not_before: now,
+            retries: self.retries,
+            preemptions: self.preemptions,
+            resume,
+        }
+    }
 }
 
 enum Pump {
@@ -576,18 +593,11 @@ impl ServingRuntime {
         let Some(stream) = self.streams[self.active[idx].slot] else {
             return Pump::Lost { device };
         };
-        let (regions, len) = {
-            let j = &self.active[idx];
-            (j.spec.regions, j.spec.region_len)
-        };
+        let regions = self.active[idx].spec.regions;
         match self.active[idx].phase {
             Phase::Load { next } => {
-                let (h, d) = (self.active[idx].host[next], self.active[idx].dev[next]);
-                match self.transfer_with_retry(next, device, |g| {
-                    g.memcpy_h2d_async(d, 0, h, 0, len, stream)
-                }) {
-                    Ok(()) => {}
-                    Err(e) => return e,
+                if let Err(e) = self.copy_region(idx, next, device, stream, true) {
+                    return e;
                 }
                 self.active[idx].phase = if next + 1 < regions {
                     Phase::Load { next: next + 1 }
@@ -634,18 +644,8 @@ impl ServingRuntime {
                 Pump::Progress
             }
             Phase::Drain { next } => {
-                let (h, d) = (self.active[idx].host[next], self.active[idx].dev[next]);
-                match self.transfer_with_retry(next, device, |g| {
-                    g.memcpy_d2h_async(h, 0, d, 0, len, stream)
-                }) {
-                    Ok(()) => {}
-                    Err(Pump::Done(Err(AccError::TransferExhausted { .. }))) => {
-                        // The D2H lane is dead: rescue the region over the
-                        // fault-exempt maintenance path instead of losing
-                        // the computed bytes.
-                        self.gpu.memcpy_d2h_salvage(h, 0, d, 0, len, stream);
-                    }
-                    Err(e) => return e,
+                if let Err(e) = self.copy_region(idx, next, device, stream, false) {
+                    return e;
                 }
                 self.active[idx].phase = if next + 1 < regions {
                     Phase::Drain { next: next + 1 }
@@ -658,35 +658,39 @@ impl ServingRuntime {
         }
     }
 
-    /// Enqueue one transfer, retrying faulted attempts under the
-    /// per-transfer policy (fault verdicts land at enqueue time, so no
-    /// sync is needed between attempts). A fault caused by the device
-    /// itself dying is not retryable: it surfaces as [`Pump::Lost`] so
-    /// the job evacuates without burning its transfer budget.
-    fn transfer_with_retry(
+    /// Copy region `r` of job `idx` host→device (`to_device`) or back
+    /// through the shared retry loop. A drain past the budget is salvaged
+    /// instead of losing the computed bytes; a load past it fails the job.
+    /// A device death surfaces as [`Pump::Lost`] so the job evacuates.
+    fn copy_region(
         &mut self,
-        region: usize,
+        idx: usize,
+        r: usize,
         device: usize,
-        mut submit: impl FnMut(&mut GpuSystem) -> gpu_sim::OpId,
+        stream: StreamId,
+        to_device: bool,
     ) -> Result<(), Pump> {
-        let mut attempt = 0u32;
-        loop {
-            let op = submit(&mut self.gpu);
-            if self.gpu.crashed() {
-                return Err(Pump::Crashed);
+        let j = &self.active[idx];
+        let (h, d, len) = (j.host[r], j.dev[r], j.spec.region_len);
+        let retry = self.cfg.transfer_retry;
+        let t = if to_device {
+            retry.transfer(&mut self.gpu, device, "serving-retry", |g| {
+                g.memcpy_h2d_async(d, 0, h, 0, len, stream)
+            })
+        } else {
+            retry.transfer(&mut self.gpu, device, "serving-retry", |g| {
+                g.memcpy_d2h_async(h, 0, d, 0, len, stream)
+            })
+        };
+        match t.outcome {
+            Ok(_) => Ok(()),
+            Err(TransferFailure::Crashed) => Err(Pump::Crashed),
+            Err(TransferFailure::DeviceLost) => Err(Pump::Lost { device }),
+            Err(f) if to_device => Err(Pump::Done(Err(f.acc_error(device, r)))),
+            Err(TransferFailure::Exhausted) => {
+                self.gpu.memcpy_d2h_salvage(h, 0, d, 0, len, stream);
+                Ok(())
             }
-            if !self.gpu.op_faulted(op) {
-                return Ok(());
-            }
-            if self.gpu.device_lost(device) {
-                return Err(Pump::Lost { device });
-            }
-            if self.cfg.transfer_retry.exhausted(attempt) {
-                return Err(Pump::Done(Err(AccError::TransferExhausted { region })));
-            }
-            self.gpu
-                .backoff_work(self.cfg.transfer_retry.backoff(attempt), "serving-retry");
-            attempt += 1;
         }
     }
 
@@ -739,25 +743,15 @@ impl ServingRuntime {
             self.gpu.set_tenant(None);
             return Pump::Crashed;
         }
-        let len = self.active[idx].spec.region_len;
         let regions = self.active[idx].spec.regions;
         // A job still loading has nothing new on the device; one that has
         // computed must drain. Either way the host slabs end up holding
         // the state at step `job.step`.
         if matches!(self.active[idx].phase, Phase::Compute | Phase::Drain { .. }) {
             for r in 0..regions {
-                let (h, d) = (self.active[idx].host[r], self.active[idx].dev[r]);
-                match self
-                    .transfer_with_retry(r, device, |g| g.memcpy_d2h_async(h, 0, d, 0, len, stream))
-                {
-                    Ok(()) => {}
-                    Err(Pump::Done(Err(AccError::TransferExhausted { .. }))) => {
-                        self.gpu.memcpy_d2h_salvage(h, 0, d, 0, len, stream);
-                    }
-                    Err(e) => {
-                        self.gpu.set_tenant(None);
-                        return e;
-                    }
+                if let Err(e) = self.copy_region(idx, r, device, stream, false) {
+                    self.gpu.set_tenant(None);
+                    return e;
                 }
             }
             self.gpu.stream_synchronize(stream);
@@ -781,16 +775,9 @@ impl ServingRuntime {
         };
         self.release_device(&mut job);
         self.stats.entry(job.spec.tenant).or_default().preemptions += 1;
-        let now = self.now();
-        self.queue.requeue(QueuedJob {
-            id: job.id,
-            spec: job.spec,
-            submitted: job.submitted,
-            not_before: now,
-            retries: job.retries,
-            preemptions: job.preemptions + 1,
-            resume: blob,
-        });
+        let mut entry = job.requeue_entry(self.now(), blob);
+        entry.preemptions += 1;
+        self.queue.requeue(entry);
         Pump::Preempted
     }
 
@@ -835,16 +822,8 @@ impl ServingRuntime {
         job.dev.clear();
         self.slot_busy[job.slot] = false;
         self.stats.entry(job.spec.tenant).or_default().evacuated += 1;
-        let now = self.now();
-        self.queue.requeue(QueuedJob {
-            id: job.id,
-            spec: job.spec,
-            submitted: job.submitted,
-            not_before: now,
-            retries: job.retries,
-            preemptions: job.preemptions,
-            resume: job.checkpoint,
-        });
+        let resume = job.checkpoint.take();
+        self.queue.requeue(job.requeue_entry(self.now(), resume));
     }
 
     fn release_device(&mut self, job: &mut ActiveJob) {
@@ -867,36 +846,15 @@ impl ServingRuntime {
             }
             other => other,
         };
-        if let Err(e) = outcome {
-            if matches!(
-                e,
-                AccError::TransferExhausted { .. }
-                    | AccError::Integrity { .. }
-                    | AccError::DeviceAlloc { .. }
-            ) {
-                // Device-path failure: the job itself is fine — resubmit
-                // it from scratch under the job-level retry budget.
-                let entry = QueuedJob {
-                    id: job.id,
-                    spec: job.spec,
-                    submitted: job.submitted,
-                    not_before: now,
-                    retries: job.retries,
-                    preemptions: job.preemptions,
-                    resume: None,
-                };
-                self.retry_or_fail(entry, e, None);
-                return;
-            }
-            self.record_result(
-                job.id,
-                job.spec.tenant,
-                Err(e),
-                job.submitted,
-                Some(job.started),
-                job.retries,
-                job.preemptions,
-            );
+        if let Err(
+            e @ (AccError::TransferExhausted { .. }
+            | AccError::Integrity { .. }
+            | AccError::DeviceAlloc { .. }),
+        ) = outcome
+        {
+            // Device-path failure: the job itself is fine — resubmit it
+            // from scratch under the job-level retry budget.
+            self.retry_or_fail(job.requeue_entry(now, None), e, None);
             return;
         }
         self.record_result(
@@ -988,19 +946,12 @@ impl ServingRuntime {
         self.clock_base += self.gpu.host_now();
         let now = self.now();
         let jobs: Vec<ActiveJob> = self.active.drain(..).collect();
-        for job in jobs {
+        for mut job in jobs {
             // Device state is gone and host slabs may hold a partial
             // drain; the durable state is the last checkpoint (or the
             // seed). Activation rebuilds host data from it.
-            self.queue.requeue(QueuedJob {
-                id: job.id,
-                spec: job.spec,
-                submitted: job.submitted,
-                not_before: now,
-                retries: job.retries,
-                preemptions: job.preemptions,
-                resume: job.checkpoint,
-            });
+            let resume = job.checkpoint.take();
+            self.queue.requeue(job.requeue_entry(now, resume));
         }
         self.cfg.fault_plan.crash = None;
         let mut gpu = GpuSystem::multi(
